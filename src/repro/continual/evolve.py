@@ -389,50 +389,12 @@ def evolve_flow_store(
     Runs under the store lock and bumps :attr:`FlowStateStore.version`,
     invalidating every forecast cache keyed on the old windows.
     """
-    if store.owned_stations is not None:
+    if store.config.num_stations != evolution.old_num_stations:
         raise ValueError(
-            "evolve a partitioned store through its ShardedFlowStore"
+            f"store has {store.config.num_stations} stations, evolution "
+            f"starts from {evolution.old_num_stations}"
         )
-    with store._lock:
-        old_cfg = store.config
-        if old_cfg.num_stations != evolution.old_num_stations:
-            raise ValueError(
-                f"store has {old_cfg.num_stations} stations, evolution "
-                f"starts from {evolution.old_num_stations}"
-            )
-        new_n = evolution.num_stations
-        kept = evolution.kept_array
-        k = len(kept)
-        new_cfg = dataclasses.replace(old_cfg, num_stations=new_n)
-        cap = store._capacity
-        new_inflow = np.zeros((cap, new_n, new_n))
-        new_outflow = np.zeros((cap, new_n, new_n))
-        new_inflow[:, :k, :k] = store._inflow[:, kept][:, :, kept]
-        new_outflow[:, :k, :k] = store._outflow[:, kept][:, :, kept]
-        drained = 0.0
-        new_pending: dict[int, np.ndarray] = {}
-        for slot, pending in store._pending_inflow.items():
-            sub = pending[np.ix_(kept, kept)]
-            drained += float(pending.sum()) - float(sub.sum())
-            if sub.any():
-                remapped = np.zeros((new_n, new_n))
-                remapped[:k, :k] = sub
-                new_pending[slot] = remapped
-        store.config = new_cfg
-        store._inflow = new_inflow
-        store._outflow = new_outflow
-        store._pending_inflow = new_pending
-        store._rows = new_n
-        store._owned_sel = slice(0, new_n)
-        kk, d = new_cfg.short_window, new_cfg.long_days
-        store._short_in = np.empty((kk, new_n, new_n))
-        store._short_out = np.empty((kk, new_n, new_n))
-        store._long_in = np.empty((d, new_n, new_n))
-        store._long_out = np.empty((d, new_n, new_n))
-        store._zero_target = np.zeros(new_n)
-        store._zero_target.setflags(write=False)
-        store.version += 1
-        return drained
+    return store.remap_stations(evolution.kept_array, evolution.num_stations)
 
 
 def evolve_sharded_store(
@@ -479,6 +441,15 @@ def evolve_sharded_store(
         num_shards = min(fleet.map.num_shards, new_n)
         fleet.map = ShardMap(new_n, num_shards)
         fleet.config = new_cfg
+        drained = 0.0
+        new_pending: dict[int, np.ndarray] = {}
+        for slot, full in pending_full.items():
+            sub = full[np.ix_(kept, kept)]
+            drained += float(full.sum()) - float(sub.sum())
+            if sub.any():
+                remapped = np.zeros((new_n, new_n))
+                remapped[:k, :k] = sub
+                new_pending[slot] = remapped
         shards: list[FlowStateStore] = []
         for i in range(num_shards):
             shard = FlowStateStore(
@@ -487,25 +458,8 @@ def evolve_sharded_store(
                 owned_stations=fleet.map.stations(i),
                 metric_prefix=f"serve.shard{i}",
             )
-            sel = shard.owned_selector
-            for idx, slot in enumerate(range(first, frontier + 1)):
-                row = slot % shard._capacity
-                shard._inflow[row] = new_inflow[idx][sel]
-                shard._outflow[row] = new_outflow[idx][sel]
-            shard._warm_started = True
+            shard.load_history(first, new_inflow, new_outflow, new_pending)
             shards.append(shard)
-        drained = 0.0
-        for slot, full in pending_full.items():
-            sub = full[np.ix_(kept, kept)]
-            drained += float(full.sum()) - float(sub.sum())
-            if not sub.any():
-                continue
-            remapped = np.zeros((new_n, new_n))
-            remapped[:k, :k] = sub
-            for shard in shards:
-                part = remapped[shard.owned_selector]
-                if part.any():
-                    shard._pending_inflow[slot] = part.copy()
         # Keep the fleet version monotonic across the rebuild: forecast
         # caches key on it, and a reset-to-zero could collide with an
         # old key.

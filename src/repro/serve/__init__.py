@@ -31,7 +31,12 @@ Quickstart (in-process)::
         forecast = service.predict([3, 7])   # bikes, next slot
 """
 
-from repro.serve.state import FlowStateConfig, FlowStateStore, LateEventError
+from repro.serve.state import (
+    FlowStateConfig,
+    FlowStateStore,
+    LateEventError,
+    StoreSample,
+)
 from repro.serve.service import (
     Forecast,
     PredictionService,
@@ -68,6 +73,7 @@ __all__ = [
     "ServingHTTPServer",
     "ShardMap",
     "ShardedFlowStore",
+    "StoreSample",
     "make_fleet_server",
     "make_server",
 ]

@@ -47,11 +47,11 @@ import threading
 
 import numpy as np
 
-from repro.data.dataset import BikeShareDataset, FlowSample
+from repro.data.dataset import BikeShareDataset
 from repro.data.records import TripRecord
 from repro.faults import fault_point, fault_transform
 from repro.obs.registry import default_registry
-from repro.serve.state import FlowStateConfig, FlowStateStore
+from repro.serve.state import FlowStateConfig, FlowStateStore, StoreSample
 
 
 class ShardMap:
@@ -355,11 +355,12 @@ class ShardedFlowStore:
                 supply[shard.owned_selector] = s
             return demand, supply
 
-    def sample(self) -> FlowSample:
+    def sample(self) -> StoreSample:
         """The model input for the frontier slot, assembled across shards.
 
         Bitwise equal to the single store's :meth:`FlowStateStore.sample`
-        over the same event history. Unlike the single store (one
+        over the same event history, and stamped with the fleet version
+        read under the same lock. Unlike the single store (one
         dispatcher, reusable buffers), a sharded store feeds *N replica
         dispatchers concurrently* — each call assembles into fresh
         arrays so one replica's forward never reads windows another
@@ -386,7 +387,7 @@ class ShardedFlowStore:
             for shard in self.shards:
                 shard.scatter_window(short_slots, short_in, short_out)
                 shard.scatter_window(long_slots, long_in, long_out)
-            return FlowSample(
+            return StoreSample(
                 t=t,
                 short_inflow=short_in,
                 short_outflow=short_out,
@@ -394,6 +395,7 @@ class ShardedFlowStore:
                 long_outflow=long_out,
                 target_demand=self._zero_target,
                 target_supply=self._zero_target,
+                version=self.version,
             )
 
     def retained_tensors(self) -> tuple[int, np.ndarray, np.ndarray]:

@@ -27,6 +27,12 @@ back to the caller. With tracing enabled, one request's JSONL spans
 reconstruct the full path — HTTP handling, queue wait, batch assembly,
 forward kernels, serialization — via ``python -m repro.obs.trace``.
 
+Request bodies are bounded: a ``Content-Length`` that is not a
+non-negative integer gets ``400``, one above :data:`MAX_BODY_BYTES`
+gets ``413`` before any of the body is read, and a body that stalls
+for :data:`READ_TIMEOUT_S` gets ``408`` — no handler thread waits on a
+client forever.
+
 Request handling is deliberately thin: parse, delegate, serialize.
 Every serving decision (batching, backpressure, caching, reload
 atomicity) lives in the service layer where it is unit-testable without
@@ -54,6 +60,12 @@ from repro.utils import get_logger
 
 logger = get_logger("serve.http")
 
+#: Largest request body accepted (``413`` above it). A 500-trip
+#: ``/ingest`` batch is ~45 KB, so this leaves two orders of magnitude.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a handler waits on a silent client socket before giving up.
+READ_TIMEOUT_S = 30.0
+
 
 class ServingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one PredictionService.
@@ -80,6 +92,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
 class ServingHandler(BaseHTTPRequestHandler):
     server: ServingHTTPServer
+    timeout = READ_TIMEOUT_S  # socket timeout on every read and write
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -107,11 +120,31 @@ class ServingHandler(BaseHTTPRequestHandler):
         return trace_span(name, parent=parent, method=self.command)
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send_json(400, {"error": f"bad Content-Length {header!r}"})
+            return None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_json(413, {
+                "error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            })
+            return None
         if length == 0:
             return {}
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send_json(408, {"error": "timed out reading the request body"})
+            return None
+        try:
+            payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._send_json(400, {"error": "malformed JSON body"})
             return None

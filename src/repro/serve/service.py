@@ -604,6 +604,9 @@ class PredictionService:
         fallback propagates to the caller.
         """
         store = self.store
+        # A lookup key only: an event may land before sample() runs, so
+        # the forecast is filed under the (frontier, version) the
+        # windows were actually read at.
         key = (store.frontier, store.version, version)
         if self.config.cache:
             with self._cache_lock:
@@ -668,6 +671,7 @@ class PredictionService:
             return dataclasses.replace(fallback, stale=True)
         demand.setflags(write=False)
         supply.setflags(write=False)
+        key = (sample.t, sample.version, version)
         if self.config.cache:
             with self._cache_lock:
                 self._cache[key] = (demand, supply)

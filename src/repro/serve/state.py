@@ -31,6 +31,13 @@ Mechanics
   so forecast caches invalidate); events older than the retained
   horizon follow ``late_policy``: counted and dropped by default, or a
   hard error for pipelines that consider lateness a bug.
+* **Assembled windows** — an unpartitioned store keeps its four window
+  buffers assembled for the frontier they were last built at. A late
+  event marks the slot it changed dirty, and the next ``sample()`` at
+  the same frontier re-copies only the dirty slots that fall inside a
+  window (one ring row per direction) instead of re-gathering all
+  ``k + d`` of them; a rollover or a bulk rewrite of the rings
+  triggers the full gather.
 * **Station partitioning** — a store constructed with
   ``owned_stations`` holds only the matrix *rows* of those stations
   (``(H + 1, n_owned, n)`` rings instead of ``(H + 1, n, n)``) and
@@ -57,7 +64,7 @@ randomized, shuffled, late-heavy event streams.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,6 +150,18 @@ class FlowStateConfig:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class StoreSample(FlowSample):
+    """A :class:`FlowSample` stamped with the store version it was read at.
+
+    ``t`` and ``version`` are read under the same lock as the windows, so
+    a forecast cache keyed on them never files a forecast under a version
+    older than the windows it was computed from.
+    """
+
+    version: int
+
+
 class LateEventError(ValueError):
     """An event landed behind the retained horizon under ``late_policy='error'``."""
 
@@ -204,17 +223,16 @@ class FlowStateStore:
         #: landing behind the frontier). Forecast caches key on it.
         self.version = 0
         self._lock = threading.RLock()
-        # Preallocated window snapshots + index scratch for sample();
-        # partitioned stores cannot serve full windows (the fleet
-        # assembles them), so they skip the buffers entirely.
+        # Window buffers assembled for frontier ``_windows_at`` (None:
+        # not assembled since the last bulk ring rewrite) and the slots
+        # late events changed since the last sample(). Partitioned
+        # stores cannot serve full windows (the fleet assembles them),
+        # so they keep neither.
+        self._windows_at: int | None = None
+        self._dirty: set[int] | None = None
         if self._owned is None:
-            k, d = config.short_window, config.long_days
-            self._short_in = np.empty((k, n, n))
-            self._short_out = np.empty((k, n, n))
-            self._long_in = np.empty((d, n, n))
-            self._long_out = np.empty((d, n, n))
-            self._zero_target = np.zeros(n)
-            self._zero_target.setflags(write=False)
+            self._dirty = set()
+            self._alloc_windows()
         obs = default_registry()
         self._events_counter = obs.counter(f"{metric_prefix}.ingest_events")
         self._late_dropped_counter = obs.counter(
@@ -262,13 +280,102 @@ class FlowStateStore:
             metric_prefix=metric_prefix,
         )
         first = max(0, frontier - config.retention)
-        sel = store._owned_sel
-        for slot in range(first, frontier):
-            row = slot % store._capacity
-            store._inflow[row] = dataset.inflow[slot][sel]
-            store._outflow[row] = dataset.outflow[slot][sel]
-        store._warm_started = True
+        store.load_history(
+            first, dataset.inflow[first:frontier], dataset.outflow[first:frontier]
+        )
         return store
+
+    def load_history(
+        self,
+        first: int,
+        inflow: np.ndarray,
+        outflow: np.ndarray,
+        pending: "dict[int, np.ndarray] | None" = None,
+    ) -> None:
+        """Bulk-load full-city flow history into the ring (a warm start).
+
+        ``inflow``/``outflow`` are ``(m, n, n)`` tensors for slots
+        ``first .. first + m - 1``, all inside the retained range;
+        ``pending`` maps return slots beyond the frontier to full-city
+        ``(n, n)`` in-transit inflow. A partitioned store copies only
+        its own rows. Marks the store warm and invalidates the assembled
+        windows; :attr:`version` is the caller's to bump.
+        """
+        sel = self._owned_sel
+        with self._lock:
+            for idx in range(len(inflow)):
+                row = (first + idx) % self._capacity
+                self._inflow[row] = inflow[idx][sel]
+                self._outflow[row] = outflow[idx][sel]
+            for slot, full in (pending or {}).items():
+                part = full[sel]
+                if part.any():
+                    self._pending_inflow[slot] = part.copy()
+            self._warm_started = True
+            self._windows_at = None
+
+    def remap_stations(self, kept: np.ndarray, num_stations: int) -> float:
+        """Re-index the station axes in place (continual graph evolution).
+
+        Station ``kept[i]`` moves to position ``i`` on both axes of every
+        retained slot and pending inflow; positions ``len(kept) ..
+        num_stations - 1`` are new stations with zero history. Pending
+        inflow touching a removed station is drained and its mass
+        returned. Reallocates the window buffers and bumps
+        :attr:`version`, invalidating every forecast cached on the old
+        windows.
+        """
+        if self._owned is not None:
+            raise ValueError(
+                "evolve a partitioned store through its ShardedFlowStore"
+            )
+        kept = np.asarray(kept, dtype=int)
+        k = len(kept)
+        with self._lock:
+            new_inflow = np.zeros((self._capacity, num_stations, num_stations))
+            new_outflow = np.zeros_like(new_inflow)
+            new_inflow[:, :k, :k] = self._inflow[:, kept][:, :, kept]
+            new_outflow[:, :k, :k] = self._outflow[:, kept][:, :, kept]
+            drained = 0.0
+            new_pending: dict[int, np.ndarray] = {}
+            for slot, pending in self._pending_inflow.items():
+                sub = pending[np.ix_(kept, kept)]
+                drained += float(pending.sum()) - float(sub.sum())
+                if sub.any():
+                    remapped = np.zeros((num_stations, num_stations))
+                    remapped[:k, :k] = sub
+                    new_pending[slot] = remapped
+            self.config = replace(self.config, num_stations=num_stations)
+            self._inflow = new_inflow
+            self._outflow = new_outflow
+            self._pending_inflow = new_pending
+            self._rows = num_stations
+            self._owned_sel = slice(0, num_stations)
+            self._alloc_windows()
+            self.version += 1
+            return drained
+
+    def _alloc_windows(self) -> None:
+        """(Re)allocate the window buffers sample() assembles into.
+
+        ``sample()`` hands out read-only views of them, so no consumer
+        can put a buffer out of step with the ring it mirrors.
+        """
+        config = self.config
+        n, k, d = config.num_stations, config.short_window, config.long_days
+        self._short_in = np.empty((k, n, n))
+        self._short_out = np.empty((k, n, n))
+        self._long_in = np.empty((d, n, n))
+        self._long_out = np.empty((d, n, n))
+        views = []
+        for buffer in (self._short_in, self._short_out, self._long_in, self._long_out):
+            view = buffer.view()
+            view.setflags(write=False)
+            views.append(view)
+        self._window_views = tuple(views)
+        self._zero_target = np.zeros(n)
+        self._zero_target.setflags(write=False)
+        self._windows_at = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -399,6 +506,8 @@ class FlowStateStore:
                     # A late checkout changed an already-closed slot: any
                     # forecast computed from the old windows is stale.
                     self.version += 1
+                    if self._dirty is not None:
+                        self._dirty.add(start_slot)
             self._apply_inflow(destination, origin, end_slot)
             self._events_counter.inc()
             return True
@@ -427,6 +536,8 @@ class FlowStateStore:
         self._inflow[end_slot % self._capacity][row, counterpart] += 1.0
         if end_slot < self._frontier:
             self.version += 1
+            if self._dirty is not None:
+                self._dirty.add(end_slot)
 
     # ------------------------------------------------------------------
     # Rollover
@@ -469,6 +580,8 @@ class FlowStateStore:
             old_frontier = self._frontier
             self._frontier = slot
             self.version += 1
+            if self._dirty is not None:
+                self._dirty.clear()  # the next sample() regathers every window
             self._rollover_counter.inc(gap)
             self._frontier_gauge.set(slot)
             if self._listeners:
@@ -517,20 +630,24 @@ class FlowStateStore:
                 self._inflow[row].sum(axis=1),
             )
 
-    def _gather(self, ring: np.ndarray, slots: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.take(ring, slots % self._capacity, axis=0, out=out)
-        return out
-
-    def sample(self) -> FlowSample:
+    def sample(self) -> StoreSample:
         """The model input for predicting the current frontier slot.
 
-        Windows are copies into buffers owned by the store (stable until
-        the next ``sample()`` call), ordered exactly as
+        Windows are read-only views of buffers owned by the store
+        (stable until the next ``sample()`` call), ordered exactly as
         :meth:`repro.data.dataset.BikeShareDataset.sample` orders them:
         short window oldest-first over ``[t-k, t)``, long window
         oldest-first over the same slot-of-day of the previous ``d``
         days. Target fields are zeros — the future is what the model is
-        being asked for.
+        being asked for; ``version`` is the store version the windows
+        were read at.
+
+        The buffers stay assembled between calls. At the frontier they
+        were built for, only the slots late events touched since the
+        last call are re-copied from the ring; after a rollover or a
+        bulk ring rewrite every window row is gathered afresh. Either
+        way each window row is a plain copy of its ring row, so the
+        result is bitwise the same.
         """
         config = self.config
         if self._owned is not None:
@@ -538,24 +655,46 @@ class FlowStateStore:
                 "a station-partitioned store holds only its own rows; "
                 "assemble full windows through ShardedFlowStore.sample()"
             )
-        t = self._frontier
-        if t < config.horizon:
-            raise IndexError(
-                f"frontier {t} has incomplete history windows "
-                f"(need at least {config.horizon} finalized slots)"
-            )
         with self._lock:
+            t = self._frontier
+            if t < config.horizon:
+                raise IndexError(
+                    f"frontier {t} has incomplete history windows "
+                    f"(need at least {config.horizon} finalized slots)"
+                )
             k, d, spd = config.short_window, config.long_days, config.slots_per_day
-            short_slots = np.arange(t - k, t)
-            long_slots = np.arange(t - d * spd, t, spd)
-            return FlowSample(
+            if self._windows_at != t:
+                short_rows = np.arange(t - k, t) % self._capacity
+                long_rows = np.arange(t - d * spd, t, spd) % self._capacity
+                np.take(self._inflow, short_rows, axis=0, out=self._short_in)
+                np.take(self._outflow, short_rows, axis=0, out=self._short_out)
+                np.take(self._inflow, long_rows, axis=0, out=self._long_in)
+                np.take(self._outflow, long_rows, axis=0, out=self._long_out)
+                self._windows_at = t
+            else:
+                # Every dirty slot was recorded at this frontier, so it
+                # lies behind t: at most one short and one long row each.
+                for slot in self._dirty:
+                    row = slot % self._capacity
+                    i = slot - (t - k)
+                    if i >= 0:
+                        self._short_in[i] = self._inflow[row]
+                        self._short_out[i] = self._outflow[row]
+                    days, rem = divmod(t - slot, spd)
+                    if rem == 0 and days <= d:
+                        self._long_in[d - days] = self._inflow[row]
+                        self._long_out[d - days] = self._outflow[row]
+            self._dirty.clear()
+            short_in, short_out, long_in, long_out = self._window_views
+            return StoreSample(
                 t=t,
-                short_inflow=self._gather(self._inflow, short_slots, self._short_in),
-                short_outflow=self._gather(self._outflow, short_slots, self._short_out),
-                long_inflow=self._gather(self._inflow, long_slots, self._long_in),
-                long_outflow=self._gather(self._outflow, long_slots, self._long_out),
+                short_inflow=short_in,
+                short_outflow=short_out,
+                long_inflow=long_in,
+                long_outflow=long_out,
                 target_demand=self._zero_target,
                 target_supply=self._zero_target,
+                version=self.version,
             )
 
     def scatter_window(

@@ -1,6 +1,7 @@
 """HTTP front end: endpoints, error mapping, metrics exposition."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,7 +10,14 @@ import pytest
 
 from repro.core import STGNNDJD, save_checkpoint
 from repro.obs import metrics_scope
-from repro.serve import PredictionService, ServiceConfig, make_server
+from repro.serve import (
+    FleetRouter,
+    PredictionService,
+    ServiceConfig,
+    make_fleet_server,
+    make_server,
+)
+from repro.serve.http import ServingHandler
 from repro.serve.service import _Request
 
 
@@ -184,3 +192,84 @@ class TestOverloadMapping:
             http_server.shutdown()
             http_server.server_close()
             thread.join(timeout=5.0)
+
+
+@pytest.fixture(scope="class", params=["single", "fleet"])
+def bare_server(request, tiny_dataset):
+    """A single-service or fleet front end; no dispatcher is started,
+    since none of these requests gets past body parsing."""
+    model = STGNNDJD.from_dataset(tiny_dataset, seed=3)
+    if request.param == "single":
+        http_server = make_server(
+            PredictionService.for_dataset(model, tiny_dataset), port=0
+        )
+    else:
+        router = FleetRouter.for_dataset(
+            model, tiny_dataset, num_shards=2, num_replicas=2
+        )
+        http_server = make_fleet_server(router, port=0)
+    thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield http_server
+    finally:
+        http_server.shutdown()
+        http_server.server_close()
+        thread.join(timeout=5.0)
+
+
+def _raw_post(server, path: str, length: str, body: bytes = b"") -> tuple[int, dict]:
+    """POST with a verbatim ``Content-Length``; the status and JSON body.
+
+    The client keeps its end open until the server closes it, so a
+    handler still waiting for body bytes would never answer (the recv
+    times out instead).
+    """
+    host, port = server.server_address[:2]
+    head = (f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(head + body)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    status_line, _, rest = data.partition(b"\r\n")
+    assert status_line.startswith(b"HTTP/1.")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def _assert_no_handler_left(server) -> None:
+    # ThreadingMixIn tracks every handler thread it started.
+    for thread in list(server._threads):
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+class TestBodyBounds:
+    @pytest.mark.parametrize("path", ["/ingest", "/predict", "/admin/reload"])
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400), ("-1", 400), ("10000000000", 413),
+    ])
+    def test_bad_content_length_gets_a_status(self, bare_server, path,
+                                              length, status):
+        code, body = _raw_post(bare_server, path, length)
+        assert code == status
+        assert "error" in body
+        _assert_no_handler_left(bare_server)
+
+    def test_stalled_body_times_out_with_408(self, bare_server, monkeypatch):
+        monkeypatch.setattr(ServingHandler, "timeout", 0.2)
+        code, _ = _raw_post(bare_server, "/ingest", "100", b'{"trips": [')
+        assert code == 408
+        _assert_no_handler_left(bare_server)
+
+    def test_full_ingest_batch_fits_under_the_cap(self, bare_server,
+                                                  tiny_dataset):
+        start = bare_server.service.store.frontier * tiny_dataset.config.slot_seconds
+        trips = [{"origin": i % 8, "destination": (i * 3) % 8,
+                  "start_time": start + i / 7, "end_time": start + 600.0 + i / 7}
+                 for i in range(500)]
+        body = json.dumps({"trips": trips}).encode()
+        assert len(body) > 40_000
+        code, reply = _raw_post(bare_server, "/ingest", str(len(body)), body)
+        assert code == 200 and reply["accepted"] == 500

@@ -7,12 +7,14 @@ import pytest
 
 from repro.core import STGNNDJD, Trainer, save_checkpoint
 from repro.core.persistence import CheckpointSchemaError
+from repro.faults import FaultPlan, injected
 from repro.serve import (
     FlowStateStore,
     PredictionService,
     ServiceConfig,
     ServiceError,
     ServiceOverloaded,
+    ShardedFlowStore,
 )
 from repro.serve.service import _Request
 
@@ -91,6 +93,33 @@ class TestForecastCache:
         now = service.store.frontier * tiny_dataset.config.slot_seconds + 1.0
         service.store.ingest_event(0, 1, start_time=now, end_time=now + 60.0)
         assert service.predict().cached is True
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "fleet"])
+    def test_event_before_sampling_files_forecast_under_sampled_version(
+        self, served_model, tiny_dataset, sharded
+    ):
+        """A late trip landing between the cache lookup and sample() must
+        not leave the forecast filed under the pre-event version."""
+        if sharded:
+            store = ShardedFlowStore.from_dataset(tiny_dataset, num_shards=2)
+        else:
+            store = FlowStateStore.from_dataset(tiny_dataset)
+        service = PredictionService(
+            served_model, store,
+            tiny_dataset.demand_normalizer, tiny_dataset.supply_normalizer,
+        )
+        late = (store.frontier - 1) * tiny_dataset.config.slot_seconds + 1.0
+        plan = FaultPlan(seed=0).on(
+            "serve.forecast", action="call", at=1,
+            callback=lambda site: store.ingest_event(0, 1, late, late + 60.0),
+        )
+        with injected(plan):
+            first = service.predict()
+        assert len(plan.fired) == 1 and first.cached is False
+        again = service.predict()
+        assert again.cached is True
+        np.testing.assert_array_equal(again.demand, first.demand)
+        np.testing.assert_array_equal(again.supply, first.supply)
 
     def test_cache_disabled(self, served_model, tiny_dataset):
         service = PredictionService.for_dataset(
