@@ -7,9 +7,8 @@ benchmark cities, in several configurations:
   persistent grad buffers, fused Adam, dataset window cache);
 * ``workers=N`` for each N in ``--workers-sweep`` — the fork-based
   :class:`GradientWorkerPool` splitting each batch across N processes,
-  over the transport selected by ``--transport`` (``shm`` = persistent
-  shared-memory arenas + epoch-granularity schedule, ``pipe`` = the
-  legacy per-batch pickle protocol, ``auto`` = shm where available);
+  over persistent shared-memory arenas (``--transport`` accepts ``auto``
+  and ``shm``, which select the same transport);
 * ``seed baseline`` (optional, ``--baseline-ref``) — the serial loop of
   a previous commit, run from a temporary ``git worktree`` so the two
   trees are measured by the same harness on the same data.
@@ -33,7 +32,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_training.py              # full run
     PYTHONPATH=src python benchmarks/bench_training.py --smoke      # CI gate
-    PYTHONPATH=src python benchmarks/bench_training.py --smoke --transport=pipe
+    PYTHONPATH=src python benchmarks/bench_training.py --smoke --transport=shm
 """
 
 from __future__ import annotations
@@ -234,7 +233,7 @@ def main() -> int:
     parser.add_argument("--workers-sweep", default="1,2,4",
                         help="comma-separated worker counts to measure")
     parser.add_argument("--transport", default="auto",
-                        choices=("auto", "shm", "pipe"),
+                        choices=("auto", "shm"),
                         help="gradient transport for the worker configurations")
     parser.add_argument("--epochs", type=int, default=3,
                         help="timed epochs per configuration")

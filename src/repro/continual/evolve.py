@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.model import STGNNDJD
 from repro.core.persistence import TrainingSnapshot, training_fingerprint
 from repro.data.stations import Station, StationRegistry
-from repro.serve.fleet.shard import ShardedFlowStore, ShardMap
+from repro.serve.fleet.shard import ShardedFlowStore
 from repro.serve.state import FlowStateStore
 
 
@@ -402,69 +402,15 @@ def evolve_sharded_store(
 ) -> float:
     """Grow/shrink a sharded store in place (rebalanced shard blocks).
 
-    Retained history is assembled, remapped exactly like the single
-    store's, and redistributed over a fresh :class:`ShardMap` at the new
-    station count (shard count capped at the new count). The fleet
-    object identity — and its registered rollover listeners — survive,
-    so services keep their store reference across the evolution.
+    Retained history is remapped exactly like the single store's and
+    redistributed over a fresh shard map at the new station count (see
+    :meth:`ShardedFlowStore.remap_stations`). The fleet object identity
+    — and its registered rollover listeners — survive, so services keep
+    their store reference across the evolution.
     """
-    with fleet._lock:
-        fleet._heal()
-        old_cfg = fleet.config
-        if old_cfg.num_stations != evolution.old_num_stations:
-            raise ValueError(
-                f"store has {old_cfg.num_stations} stations, evolution "
-                f"starts from {evolution.old_num_stations}"
-            )
-        frontier = fleet.frontier
-        old_version = fleet.version
-        new_n = evolution.num_stations
-        kept = evolution.kept_array
-        k = len(kept)
-        first, inflow, outflow = fleet.retained_tensors()
-        new_inflow = np.zeros((inflow.shape[0], new_n, new_n))
-        new_outflow = np.zeros_like(new_inflow)
-        new_inflow[:, :k, :k] = inflow[:, kept][:, :, kept]
-        new_outflow[:, :k, :k] = outflow[:, kept][:, :, kept]
-        # Assemble full-city pending inflow per slot before remapping.
-        old_n = old_cfg.num_stations
-        pending_full: dict[int, np.ndarray] = {}
-        for shard in fleet.shards:
-            sel = shard.owned_selector
-            for slot, pending in shard._pending_inflow.items():
-                full = pending_full.get(slot)
-                if full is None:
-                    full = np.zeros((old_n, old_n))
-                    pending_full[slot] = full
-                full[sel] = pending
-        new_cfg = dataclasses.replace(old_cfg, num_stations=new_n)
-        num_shards = min(fleet.map.num_shards, new_n)
-        fleet.map = ShardMap(new_n, num_shards)
-        fleet.config = new_cfg
-        drained = 0.0
-        new_pending: dict[int, np.ndarray] = {}
-        for slot, full in pending_full.items():
-            sub = full[np.ix_(kept, kept)]
-            drained += float(full.sum()) - float(sub.sum())
-            if sub.any():
-                remapped = np.zeros((new_n, new_n))
-                remapped[:k, :k] = sub
-                new_pending[slot] = remapped
-        shards: list[FlowStateStore] = []
-        for i in range(num_shards):
-            shard = FlowStateStore(
-                new_cfg,
-                frontier=frontier,
-                owned_stations=fleet.map.stations(i),
-                metric_prefix=f"serve.shard{i}",
-            )
-            shard.load_history(first, new_inflow, new_outflow, new_pending)
-            shards.append(shard)
-        # Keep the fleet version monotonic across the rebuild: forecast
-        # caches key on it, and a reset-to-zero could collide with an
-        # old key.
-        shards[0].version = old_version + 1
-        fleet.shards = shards
-        fleet._zero_target = np.zeros(new_n)
-        fleet._zero_target.setflags(write=False)
-        return drained
+    if fleet.config.num_stations != evolution.old_num_stations:
+        raise ValueError(
+            f"store has {fleet.config.num_stations} stations, evolution "
+            f"starts from {evolution.old_num_stations}"
+        )
+    return fleet.remap_stations(evolution.kept_array, evolution.num_stations)

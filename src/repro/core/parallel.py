@@ -8,60 +8,44 @@ per-time-step graph program: a "batch" is N independent single-sample
 forward/backward passes whose gradients are averaged (see
 ``core/trainer.py``), which is embarrassingly parallel across samples.
 
-Transports
-----------
-The pool has two wire formats, selected by ``transport``:
+Transport
+---------
+Parameters and gradients move through persistent shared-memory arenas
+(``core/shm_arena.py``); the duplex pipe carries only small control
+messages. One *parameter arena* holds the flat ``ParamLayout`` image of
+the model: the parent publishes the current parameter values into it
+once per sync point (one ``np.copyto`` per batch, after the optimizer
+step), and every worker's model parameters are zero-copy read-only
+views into it. Each worker additionally owns one *gradient arena* — a
+small header (shard loss + per-parameter has-grad flags) followed by
+the same flat layout — and its parameters' persistent ``_grad_buffer``
+accumulation targets are views into that arena, so the worker's
+backward passes write gradients **directly into shared memory** and
+the parent's reduction is a straight numpy sum over mapped views.
+Nothing gradient- or parameter-sized is ever pickled.
 
-``shm`` (the default wherever ``multiprocessing.shared_memory`` works)
-    Parameters and gradients move through persistent shared-memory
-    arenas (``core/shm_arena.py``); the duplex pipe carries only small
-    control messages. One *parameter arena* holds the flat
-    ``ParamLayout`` image of the model: the parent publishes the
-    current parameter values into it once per sync point (one
-    ``np.copyto`` per batch, after the optimizer step), and every
-    worker's model parameters are zero-copy read-only views into it.
-    Each worker additionally owns one *gradient arena* — a small
-    header (shard loss + per-parameter has-grad flags) followed by the
-    same flat layout — and its parameters' persistent ``_grad_buffer``
-    accumulation targets are views into that arena, so the worker's
-    backward passes write gradients **directly into shared memory**
-    and the parent's reduction is a straight numpy sum over mapped
-    views. Nothing gradient- or parameter-sized is ever pickled.
-
-``pipe`` (legacy, and the fallback when shared memory is unavailable)
-    The original transport: the parent pickles the parameter arrays to
-    every worker with each task and workers pickle their gradient sums
-    back. Kept exercised by tests and the CI bench smoke
-    (``--transport=pipe``) as the shm path's behavioral reference.
-
-Scheduling is **epoch-granular** on the shm path: the trainer announces
-the epoch's full batch schedule once (:meth:`GradientWorkerPool.begin_epoch`),
-each worker walks its shard of every batch locally, and the per-batch
-exchange shrinks to a ``("go", k, scale)`` control message out and a
-tiny acknowledgement back. The parent reduces worker *i*'s completed
-arena while workers *i+1..K* are still computing — reduction overlaps
-compute instead of serialising behind the slowest worker — but always
-folds results in worker index order, which is what keeps the float64
-sums deterministic. Direct ``accumulate_gradients`` calls without a
-schedule (tests, ad-hoc batches) fall back to a self-contained
-``("task", batch, scale)`` message with identical semantics.
+Each batch sends every worker one ``(shard, scale, trace_ctx)``
+message — its contiguous slice of the batch's sample indices — and
+gets a tiny acknowledgement back. The parent reduces worker *i*'s
+completed arena while workers *i+1..K* are still computing — reduction
+overlaps compute instead of serialising behind the slowest worker —
+but always folds results in worker index order, which is what keeps
+the float64 sums deterministic.
 
 Determinism / serial equivalence
 --------------------------------
 Shards are contiguous and ordered, reduction order is fixed, and every
-worker performs the same per-sample arithmetic as the serial loop —
-on both transports: the shm arenas change where the bytes live, not a
-single floating-point operation. The only difference from serial
-training is the association order of the gradient sums (per-shard
-partial sums instead of one running sum), so for a deterministic model
-(``dropout == 0``) the training losses of ``workers=0`` and
-``workers=K`` runs agree to within float64 summation reordering —
-empirically < 1e-9 relative, which the parity tests assert, and the two
-transports agree **bitwise** with each other. Models that draw
-training-time randomness (``dropout > 0``) remain seeded-deterministic
-for a *fixed* worker count, but are not sample-for-sample identical to
-serial runs: each forked worker advances its own copy of the model's
-RNG.
+worker performs the same per-sample arithmetic as the serial loop: the
+arenas change where the bytes live, not a single floating-point
+operation. The only difference from serial training is the association
+order of the gradient sums (per-shard partial sums instead of one
+running sum), so for a deterministic model (``dropout == 0``) the
+training losses of ``workers=0`` and ``workers=K`` runs agree to within
+float64 summation reordering — empirically < 1e-9 relative, which the
+parity tests assert. Models that draw training-time randomness
+(``dropout > 0``) remain seeded-deterministic for a *fixed* worker
+count, but are not sample-for-sample identical to serial runs: each
+forked worker advances its own copy of the model's RNG.
 
 Resilience
 ----------
@@ -74,23 +58,23 @@ without its owner's acknowledgement: it recomputes the lost shard
 into fresh buffers, then folded in at the dead worker's reduction
 slot — so the recovered batch is **bitwise identical** to the batch an
 uninjured pool would have produced (for deterministic models). Dead or
-hung workers are respawned against the *same* arenas (and re-sent the
-active epoch schedule); if the respawn itself fails, the pool marks
-itself inactive and the trainer falls back to the serial loop for the
-rest of the run. The chaos suite (``tests/faults/test_parallel_chaos.py``)
-drives every one of these paths with injected faults — including the
-shm-specific seams ``parallel.shm.publish``,
-``parallel.worker{i}.shm.attach`` and ``parallel.worker{i}.shm.commit``
-— and asserts the parity.
+hung workers are respawned against the *same* arenas; if the respawn
+itself fails, the pool marks itself inactive and the trainer falls
+back to the serial loop for the rest of the run. The chaos suite
+(``tests/faults/test_parallel_chaos.py``) drives every one of these
+paths with injected faults — including the arena seams
+``parallel.shm.publish``, ``parallel.worker{i}.shm.attach`` and
+``parallel.worker{i}.shm.commit`` — and asserts the parity.
 
 Arena lifecycle: only the parent creates or unlinks shared-memory
 segments. :meth:`GradientWorkerPool.close` drops the parent's views and
 destroys every arena unlink-first (crash-safe, idempotent); workers
 exit without cleanup, so a chaos-killed worker can never leak or
-corrupt a segment. The fallback ladder is ``shm → pipe → serial``:
-arena creation failure degrades to the pipe transport, fork
-unavailability degrades to the serial loop (:meth:`GradientWorkerPool.create`
-returns ``None``), and both degradations are logged and counted.
+corrupt a segment. The fallback ladder is ``shm → serial``: when fork
+or ``multiprocessing.shared_memory`` is unavailable, or arena or pool
+creation fails, :meth:`GradientWorkerPool.create` returns ``None`` and
+the trainer runs the serial loop; every degradation is logged, counted
+(``parallel.fallback``) and emitted as an event with its reason.
 """
 
 from __future__ import annotations
@@ -132,8 +116,8 @@ _OK = "ok"
 _ERROR = "error"
 
 SHM = "shm"
-PIPE = "pipe"
-TRANSPORTS = ("auto", SHM, PIPE)
+#: Accepted ``transport`` values; both select the shared-memory arenas.
+TRANSPORTS = ("auto", SHM)
 
 
 def fork_available() -> bool:
@@ -154,44 +138,28 @@ def _trace_ctx_tuple() -> tuple | None:
     return (ctx.trace_id, ctx.span_id, ctx.sampled)
 
 
-class _ShmWorkerContext:
-    """Arena handles a worker inherits through the fork.
-
-    Views are built inside the child (after the fork) so the attach
-    step has its own fault seam; the arenas themselves are the parent's
-    objects, shared MAP_SHARED.
-    """
-
-    __slots__ = ("param_arena", "grad_arena", "param_layout", "header")
-
-    def __init__(self, param_arena, grad_arena, param_layout, header) -> None:
-        self.param_arena = param_arena
-        self.grad_arena = grad_arena
-        self.param_layout = param_layout
-        self.header = header
+class _ArenaCreationError(OSError):
+    """The shared-memory arenas could not be created (``/dev/shm`` full)."""
 
 
 def _worker_main(conn, trainer: "Trainer", params: list, index: int,
-                 num_workers: int, shm: _ShmWorkerContext | None) -> None:
-    """Worker loop: receive control messages until ``None``.
+                 param_arena: SharedArena, grad_arena: SharedArena,
+                 layout: ParamLayout, header: GradHeaderLayout) -> None:
+    """Worker loop: compute one shard per message until ``None``.
 
     Runs in the forked child. ``trainer`` and ``params`` are inherited
-    copy-on-write. On the shm transport the worker rebinds every
-    parameter's ``data`` to a read-only view of the parameter arena
-    (tracking the parent's optimizer steps with zero copies) and
-    attaches its gradient arena views as the parameters' persistent
-    grad buffers, so backward passes accumulate straight into shared
-    memory. On the pipe transport parameter values arrive with every
-    task, exactly as the original per-batch protocol shipped them.
+    copy-on-write, as are the parent's arena objects (the mapping is
+    ``MAP_SHARED``). The worker rebinds every parameter's ``data`` to a
+    read-only view of the parameter arena (tracking the parent's
+    optimizer steps with zero copies) and attaches its gradient arena
+    views as the parameters' persistent grad buffers, so backward
+    passes accumulate straight into shared memory. Views are built here,
+    after the fork, so the attach step has its own fault seam.
 
-    Messages: ``("epoch", schedule[, trace_ctx])`` stores the epoch's
-    batch list (plus the parent's trace context, parenting every
-    scheduled shard span); ``("go", k, scale)`` computes this worker's
-    shard of batch ``k``; ``("task", batch, scale[, trace_ctx])`` is a
-    schedule-free shm batch; ``("ptask", datas, shard, scale[,
-    trace_ctx])`` is a legacy pipe task. Trailing trace elements are
-    optional — workers unpack by length, so old-shape messages (tests,
-    chaos transforms) keep working.
+    Every message is ``(shard, scale, trace_ctx)``: the sample indices
+    this worker computes, each sample's upstream gradient, and the
+    parent's trace context (``None`` when untraced) that the shard span
+    parents under. ``None`` shuts the worker down.
 
     Metrics are fork-merged: the worker's (inherited) default registry
     is reset once at startup so pre-fork parent values are not double
@@ -203,9 +171,9 @@ def _worker_main(conn, trainer: "Trainer", params: list, index: int,
     counts its own hits): ``parallel.worker{index}.task`` per task,
     ``parallel.worker{index}.sample`` per sample, the
     ``parallel.worker{index}.reply`` transform over the reply payload,
-    and on the shm path ``parallel.worker{index}.shm.attach`` at view
-    construction plus ``parallel.worker{index}.shm.commit`` between the
-    arena write and the acknowledgement.
+    ``parallel.worker{index}.shm.attach`` at view construction and
+    ``parallel.worker{index}.shm.commit`` between the arena write and
+    the acknowledgement.
     """
     task_site = f"parallel.worker{index}.task"
     sample_site = f"parallel.worker{index}.sample"
@@ -216,45 +184,21 @@ def _worker_main(conn, trainer: "Trainer", params: list, index: int,
     # would collide with the parent's), spans buffered locally and
     # shipped home with each reply instead of written to the shared fd.
     begin_worker_spans((os.getpid() << 8) | index)
-    grad_views = flags = loss_out = None
-    if shm is not None:
-        fault_point(f"parallel.worker{index}.shm.attach")
-        param_views = shm.param_layout.views(
-            shm.param_arena.buf, writeable=False
-        )
-        grad_views = shm.param_layout.views(
-            shm.grad_arena.buf, base_offset=shm.header.header_bytes
-        )
-        flags = shm.header.flags_view(shm.grad_arena.buf)
-        loss_out = shm.header.loss_view(shm.grad_arena.buf)
-        for param, view, grad_view in zip(params, param_views, grad_views):
-            param.data = view
-            param.attach_grad_buffer(grad_view)
-    schedule: list | None = None
-    epoch_ctx: tuple | None = None
+    fault_point(f"parallel.worker{index}.shm.attach")
+    param_views = layout.views(param_arena.buf, writeable=False)
+    grad_views = layout.views(grad_arena.buf, base_offset=header.header_bytes)
+    flags = header.flags_view(grad_arena.buf)
+    loss_out = header.loss_view(grad_arena.buf)
+    for param, view, grad_view in zip(params, param_views, grad_views):
+        param.data = view
+        param.attach_grad_buffer(grad_view)
     try:
         while True:
             msg = conn.recv()
             if msg is None:
                 return
-            if msg[0] == "epoch":
-                schedule = msg[1]
-                epoch_ctx = msg[2] if len(msg) > 2 else None
-                continue
             try:
-                if msg[0] == "go":
-                    k, scale = msg[1], msg[2]
-                    ctx = epoch_ctx
-                    shard = np.array_split(schedule[k], num_workers)[index]
-                elif msg[0] == "task":
-                    batch, scale = msg[1], msg[2]
-                    ctx = msg[3] if len(msg) > 3 else None
-                    shard = np.array_split(np.asarray(batch), num_workers)[index]
-                else:  # "ptask"
-                    datas, shard, scale = msg[1], msg[2], msg[3]
-                    ctx = msg[4] if len(msg) > 4 else None
-                    for param, data in zip(params, datas):
-                        param.data = data
+                shard, scale, ctx = msg
                 fault_point(task_site)
                 busy_start = time.perf_counter()
                 for param in params:
@@ -279,24 +223,20 @@ def _worker_main(conn, trainer: "Trainer", params: list, index: int,
                     )
                     registry.counter("parallel.worker_tasks").inc()
                     delta = registry.drain()
-                payload = fault_transform(
+                loss_sum, grads, delta = fault_transform(
                     reply_site, (loss_sum, [p.grad for p in params], delta)
                 )
                 spans = drain_spans()
-                if shm is not None:
-                    loss_sum, grads, delta = payload
-                    for i, (param, grad) in enumerate(zip(params, grads)):
-                        flags[i] = 0 if grad is None else 1
-                        # Accumulation already landed in the arena via
-                        # the attached buffer; only a transformed
-                        # (poisoned) reply needs an explicit write.
-                        if grad is not None and grad is not param.grad:
-                            np.copyto(grad_views[i], grad)
-                    loss_out[0] = loss_sum
-                    fault_point(f"parallel.worker{index}.shm.commit")
-                    conn.send((_OK, delta, spans))
-                else:
-                    conn.send((_OK, payload, spans))
+                for i, (param, grad) in enumerate(zip(params, grads)):
+                    flags[i] = 0 if grad is None else 1
+                    # Accumulation already landed in the arena via the
+                    # attached buffer; only a transformed (poisoned)
+                    # reply needs an explicit write.
+                    if grad is not None and grad is not param.grad:
+                        np.copyto(grad_views[i], grad)
+                loss_out[0] = loss_sum
+                fault_point(f"parallel.worker{index}.shm.commit")
+                conn.send((_OK, delta, spans))
             except Exception as exc:  # surface worker errors in the parent
                 # A failed task's spans never ship: the parent recovers
                 # the shard itself and its recovery span replaces them —
@@ -329,10 +269,15 @@ class GradientWorkerPool:
             )
         if not fork_available():
             raise RuntimeError("fork start method is not available on this platform")
+        if not shm_available():
+            raise RuntimeError(
+                "multiprocessing.shared_memory is not available on this platform"
+            )
         self._trainer = trainer
         self._params = list(trainer.optimizer.parameters)
         self.num_workers = num_workers
         self.reply_timeout = reply_timeout
+        self.transport = SHM
         self._closed = False
         self._degraded = False
         #: Cumulative parent-side seconds per transport phase (always on;
@@ -343,30 +288,26 @@ class GradientWorkerPool:
         self.phase_seconds = {"serialize": 0.0, "compute_wait": 0.0, "reduce": 0.0}
         self._epoch_phase_base = dict(self.phase_seconds)
 
-        # Epoch-granularity schedule state (shm transport).
-        self._schedule: list[np.ndarray] | None = None
-        self._cursor = 0
-        self._has_schedule = [False] * num_workers
+        # Set between begin_epoch and end_epoch: every batch's shard
+        # spans parent under the epoch's trace context.
+        self._in_epoch = False
         self._epoch_ctx: tuple | None = None
 
-        # Arenas (shm transport only; _build_arenas may fall back).
         self._param_arena: SharedArena | None = None
         self._grad_arenas: list[SharedArena] = []
         self._publish_views: list[np.ndarray] | None = None
         self._worker_grad_views: list[list[np.ndarray]] = []
         self._worker_flags: list[np.ndarray] = []
         self._worker_loss: list[np.ndarray] = []
-
-        self.transport = self._resolve_transport(transport)
+        self._ctx = mp.get_context("fork")
+        self._conns: list = [None] * num_workers
+        self._procs: list = [None] * num_workers
+        self._build_arenas()
 
         # Touch lazily-built dataset state *before* forking so workers
         # share it copy-on-write instead of each rebuilding it.
         trainer.dataset.demand_normalizer
         trainer.dataset.supply_normalizer
-
-        self._ctx = mp.get_context("fork")
-        self._conns: list = [None] * num_workers
-        self._procs: list = [None] * num_workers
         try:
             for index in range(num_workers):
                 self._spawn_worker(index)
@@ -375,32 +316,8 @@ class GradientWorkerPool:
             raise
 
     # ------------------------------------------------------------------
-    # Transport resolution + arenas
+    # Arenas + workers
     # ------------------------------------------------------------------
-    def _resolve_transport(self, requested: str) -> str:
-        """Pick shm where possible; degrade to pipe loudly otherwise."""
-        if requested == PIPE:
-            return PIPE
-        if not shm_available():
-            if requested == SHM:
-                logger.warning(
-                    "transport='shm' requested but multiprocessing.shared_memory "
-                    "is unavailable; using the pipe transport"
-                )
-            self._record_transport_fallback("shm_unavailable", requested)
-            return PIPE
-        try:
-            self._build_arenas()
-            return SHM
-        except OSError as exc:  # /dev/shm full or unmapped
-            logger.warning(
-                "shared-memory arena creation failed (%s); "
-                "using the pipe transport", exc,
-            )
-            self._record_transport_fallback(f"arena_creation_failed: {exc}",
-                                            requested)
-            return PIPE
-
     def _build_arenas(self) -> None:
         """Create the parameter arena + one gradient arena per worker."""
         datas = [param.data for param in self._params]
@@ -416,10 +333,10 @@ class GradientWorkerPool:
                 arena = SharedArena(grad_bytes)
                 created.append(arena)
                 grad_arenas.append(arena)
-        except OSError:
+        except OSError as exc:  # /dev/shm full or unmapped
             for arena in created:
                 arena.destroy()
-            raise
+            raise _ArenaCreationError(str(exc)) from exc
         self._param_arena = param_arena
         self._grad_arenas = grad_arenas
         self._publish_views = self._param_layout.views(param_arena.buf)
@@ -446,7 +363,7 @@ class GradientWorkerPool:
 
     @property
     def shm_segment_names(self) -> list[str]:
-        """``/dev/shm`` names of the live arenas (empty on pipe transport)."""
+        """``/dev/shm`` names of the live arenas (empty once closed)."""
         names = []
         if self._param_arena is not None:
             names.append(self._param_arena.name)
@@ -457,33 +374,20 @@ class GradientWorkerPool:
         """(Re)fork worker ``index``; replaces any previous pipe/process.
 
         A respawned worker attaches to the *same* arenas (they are
-        inherited through the fresh fork) and, if an epoch schedule is
-        active, receives it again so the next ``go`` finds it in place.
+        inherited through the fresh fork).
         """
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        shm_ctx = None
-        if self.transport == SHM:
-            shm_ctx = _ShmWorkerContext(
-                self._param_arena, self._grad_arenas[index],
-                self._param_layout, self._grad_header,
-            )
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._trainer, self._params, index,
-                  self.num_workers, shm_ctx),
+                  self._param_arena, self._grad_arenas[index],
+                  self._param_layout, self._grad_header),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         self._conns[index] = parent_conn
         self._procs[index] = proc
-        self._has_schedule[index] = False
-        if self._schedule is not None:
-            try:
-                parent_conn.send(("epoch", self._schedule, self._epoch_ctx))
-                self._has_schedule[index] = True
-            except (BrokenPipeError, OSError):  # caught again at next send
-                pass
 
     @classmethod
     def create(
@@ -496,20 +400,22 @@ class GradientWorkerPool:
         """Build a pool, or return ``None`` (serial fallback) if unsupported."""
         if num_workers < 1:
             return None
-        if not fork_available():
-            logger.warning(
-                "workers=%d requested but the fork start method is unavailable; "
-                "training serially",
-                num_workers,
-            )
-            cls._record_fallback("fork_unavailable", num_workers)
-            return None
+        for available, reason in ((fork_available, "fork_unavailable"),
+                                  (shm_available, "shm_unavailable")):
+            if not available():
+                logger.warning("workers=%d requested (%s); training serially",
+                               num_workers, reason)
+                cls._record_fallback(reason, num_workers)
+                return None
         try:
             return cls(trainer, num_workers, reply_timeout=reply_timeout,
                        transport=transport)
-        except OSError as exc:  # fork/pipe failure (resource limits)
-            logger.warning("worker pool creation failed (%s); training serially", exc)
-            cls._record_fallback(f"pool_creation_failed: {exc}", num_workers)
+        except OSError as exc:  # /dev/shm full, fork/pipe resource limits
+            stage = ("arena_creation_failed"
+                     if isinstance(exc, _ArenaCreationError)
+                     else "pool_creation_failed")
+            logger.warning("%s (%s); training serially", stage, exc)
+            cls._record_fallback(f"{stage}: {exc}", num_workers)
             return None
 
     @staticmethod
@@ -519,51 +425,29 @@ class GradientWorkerPool:
         emit_event("event", "parallel.fallback",
                    reason=reason, requested_workers=num_workers)
 
-    @staticmethod
-    def _record_transport_fallback(reason: str, requested: str) -> None:
-        """Count + emit an shm→pipe degradation so it is visible in runs."""
-        default_registry().counter("parallel.transport_fallback").inc()
-        emit_event("event", "parallel.transport_fallback",
-                   reason=reason, requested_transport=requested)
-
     # ------------------------------------------------------------------
-    # Epoch-granularity scheduling (shm transport)
+    # Epoch bracketing
     # ------------------------------------------------------------------
-    def begin_epoch(self, batches: Sequence[np.ndarray]) -> None:
-        """Broadcast the epoch's batch schedule to every worker.
+    def begin_epoch(self) -> None:
+        """Open an epoch: capture its trace context and phase baseline.
 
-        After this, each ``accumulate_gradients`` call whose batch is
-        the next schedule entry costs one ``("go", k, scale)`` control
-        message per worker — the workers derive their shards locally.
-        No-op on the pipe transport (which ships shards per batch) and
-        on closed pools.
+        Every batch until :meth:`end_epoch` parents its worker shard
+        spans under the caller's current span (``trainer.epoch``), and
+        the epoch's phase split is measured from here. No-op on closed
+        pools.
         """
-        if self._closed or self.transport != SHM:
+        if self._closed:
             return
-        self._schedule = [np.ascontiguousarray(batch) for batch in batches]
-        self._cursor = 0
-        self._epoch_phase_base = dict(self.phase_seconds)
-        # Publish the caller's trace context with the schedule: every
-        # scheduled shard span this epoch parents under it, so one
-        # ``("epoch", ...)`` message traces the whole epoch's fan-out.
+        self._in_epoch = True
         self._epoch_ctx = _trace_ctx_tuple()
-        msg = ("epoch", self._schedule, self._epoch_ctx)
-        for index, conn in enumerate(self._conns):
-            if conn is None:
-                continue
-            try:
-                conn.send(msg)
-                self._has_schedule[index] = True
-            except (BrokenPipeError, OSError):  # handled at the next send
-                self._has_schedule[index] = False
+        self._epoch_phase_base = dict(self.phase_seconds)
 
     def end_epoch(self) -> None:
-        """Close the epoch's schedule; emit the phase/overlap telemetry."""
-        if self._schedule is None:
+        """Close the epoch; emit the phase/overlap telemetry."""
+        if not self._in_epoch:
             return
-        self._schedule = None
+        self._in_epoch = False
         self._epoch_ctx = None
-        self._has_schedule = [False] * self.num_workers
         registry = default_registry()
         if registry.enabled:
             phases = {
@@ -603,48 +487,24 @@ class GradientWorkerPool:
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        batch = np.asarray(batch)
-        shards = np.array_split(batch, self.num_workers)
+        shards = np.array_split(np.asarray(batch), self.num_workers)
         registry = default_registry()
         failed_send: set[int] = set()
         serialize_start = time.perf_counter()
-        if self.transport == SHM:
-            # Sync point: publish the post-step parameters once; every
-            # worker's parameter views read them zero-copy.
-            fault_point("parallel.shm.publish")
-            for view, param in zip(self._publish_views, self._params):
-                np.copyto(view, param.data)
-            if (
-                self._schedule is not None
-                and self._cursor < len(self._schedule)
-                and np.array_equal(self._schedule[self._cursor], batch)
-            ):
-                msg = ("go", self._cursor, scale)
-                self._cursor += 1
-            else:  # schedule-free call (tests, ad-hoc batches)
-                msg = ("task", batch, scale, _trace_ctx_tuple())
-            for index, conn in enumerate(self._conns):
-                if conn is None:  # lost in a previous batch, respawn failed
-                    failed_send.add(index)
-                    continue
-                try:
-                    if msg[0] == "go" and not self._has_schedule[index]:
-                        conn.send(("epoch", self._schedule, self._epoch_ctx))
-                        self._has_schedule[index] = True
-                    conn.send(msg)
-                except (BrokenPipeError, OSError):
-                    failed_send.add(index)
-        else:
-            datas = [param.data for param in self._params]
-            ctx = _trace_ctx_tuple()
-            for index, (conn, shard) in enumerate(zip(self._conns, shards)):
-                if conn is None:
-                    failed_send.add(index)
-                    continue
-                try:
-                    conn.send(("ptask", datas, shard, scale, ctx))
-                except (BrokenPipeError, OSError):
-                    failed_send.add(index)
+        # Sync point: publish the post-step parameters once; every
+        # worker's parameter views read them zero-copy.
+        fault_point("parallel.shm.publish")
+        for view, param in zip(self._publish_views, self._params):
+            np.copyto(view, param.data)
+        ctx = self._epoch_ctx if self._in_epoch else _trace_ctx_tuple()
+        for index, (conn, shard) in enumerate(zip(self._conns, shards)):
+            if conn is None:  # lost in a previous batch, respawn failed
+                failed_send.add(index)
+                continue
+            try:
+                conn.send((shard, scale, ctx))
+            except (BrokenPipeError, OSError):
+                failed_send.add(index)
         serialize_seconds = time.perf_counter() - serialize_start
 
         total = 0.0
@@ -687,9 +547,8 @@ class GradientWorkerPool:
     def _receive(self, index: int):
         """Worker ``index``'s result payload, or ``None`` after a failure.
 
-        Always ``(loss_sum, grads, metrics_delta)``: on the pipe
-        transport the whole payload arrives in the reply, on the shm
-        transport the reply is a bare acknowledgement and loss/flags/
+        Always ``(loss_sum, grads, metrics_delta)``. The reply is a
+        bare acknowledgement carrying the metrics delta; loss, flags and
         gradients are read from the worker's arena views — but only
         *after* the acknowledgement, so a half-written arena from a
         crashed worker is never reduced.
@@ -719,16 +578,12 @@ class GradientWorkerPool:
         if status != _OK:
             self._worker_failed(index, f"raised: {body}", respawn=False)
             return None
-        if self.transport == SHM:
-            flags = self._worker_flags[index]
-            grads = [
-                view if flags[i] else None
-                for i, view in enumerate(self._worker_grad_views[index])
-            ]
-            payload = (float(self._worker_loss[index][0]), grads, body)
-        else:
-            payload = body
-        loss_sum, grads, _ = payload
+        flags = self._worker_flags[index]
+        grads = [
+            view if flags[i] else None
+            for i, view in enumerate(self._worker_grad_views[index])
+        ]
+        loss_sum = float(self._worker_loss[index][0])
         if not np.isfinite(loss_sum) or any(
             grad is not None and not np.isfinite(grad).all() for grad in grads
         ):
@@ -742,7 +597,7 @@ class GradientWorkerPool:
         # under a parent-side recovery span instead, so each unit of
         # work appears in the trace exactly once.
         emit_spans(spans)
-        return payload
+        return loss_sum, grads, body
 
     def _worker_failed(self, index: int, reason: str, respawn: bool) -> None:
         """Log/count a worker failure; respawn or degrade to serial."""

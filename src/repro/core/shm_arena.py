@@ -1,9 +1,9 @@
 """Shared-memory arenas for the data-parallel gradient transport.
 
-The worker pool's shm transport (``core/parallel.py``) moves parameters
-and gradients between the parent and its forked workers through
-persistent ``multiprocessing.shared_memory`` segments instead of pickled
-pipe messages. This module owns the byte-level contract of those
+The worker pool (``core/parallel.py``) moves parameters and gradients
+between the parent and its forked workers through persistent
+``multiprocessing.shared_memory`` segments; its pipes carry only small
+control messages. This module owns the byte-level contract of those
 segments:
 
 * :class:`ParamLayout` — the flat layout of a parameter list: one
@@ -16,8 +16,8 @@ segments:
 * :class:`GradHeaderLayout` — the small header in front of each
   worker's gradient payload: the shard's summed loss (float64) and one
   "has gradient" flag byte per parameter, so ``None`` gradients (a
-  parameter untouched by the shard) reduce exactly as they do on the
-  pipe transport instead of being conflated with zeros.
+  parameter untouched by the shard) reduce exactly as they do in the
+  serial loop instead of being conflated with zeros.
 * :class:`SharedArena` — a thin owner of one ``SharedMemory`` segment
   with crash-safe teardown: :meth:`SharedArena.destroy` unlinks the
   ``/dev/shm`` name *first* (so a teardown interrupted half-way never

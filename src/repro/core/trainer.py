@@ -68,11 +68,10 @@ class TrainingConfig:
     # fork-based pool of N processes (falls back to serial when fork is
     # unavailable). See core/parallel.py for the determinism guarantee.
     workers: int = 0
-    # Gradient transport for the worker pool: "shm" moves parameters and
-    # gradients through persistent shared-memory arenas with an
-    # epoch-granularity schedule, "pipe" is the legacy per-batch pickle
-    # protocol, and "auto" (default) picks shm where available with a
-    # graceful fallback to pipe. Ignored when workers == 0.
+    # Gradient transport for the worker pool. The only transport is
+    # shared-memory arenas, so "auto" (default) and "shm" are the same;
+    # without shared memory the pool falls back to the serial loop.
+    # Ignored when workers == 0.
     transport: str = "auto"
     # "joint" = the paper's Eq. 21 loss; "independent" = plain MSE on
     # demand + MSE on supply (the design-choice ablation in DESIGN.md).
@@ -104,9 +103,9 @@ class TrainingConfig:
             raise ValueError(f"loss must be 'joint' or 'independent', got {self.loss!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.transport not in ("auto", "shm", "pipe"):
+        if self.transport not in ("auto", "shm"):
             raise ValueError(
-                f"transport must be 'auto', 'shm' or 'pipe', got {self.transport!r}"
+                f"transport must be 'auto' or 'shm', got {self.transport!r}"
             )
         if (self.worker_reply_timeout_seconds is not None
                 and self.worker_reply_timeout_seconds <= 0):
@@ -328,12 +327,11 @@ class Trainer:
         start = time.perf_counter()
         total, count = 0.0, 0
         norm_sum, samples = 0.0, 0
-        # Announce the epoch's batch schedule up front: on the shm
-        # transport workers then walk their shard of every batch locally
-        # and the per-batch exchange is a tiny control message.
+        # Bracket the epoch: worker shard spans parent under it and the
+        # pool reports the epoch's phase split when it closes.
         epoch_pool = pool
         if epoch_pool is not None and epoch_pool.active:
-            epoch_pool.begin_epoch(batches)
+            epoch_pool.begin_epoch()
         try:
             for k, batch in enumerate(batches):
                 with trace_span("trainer.batch", batch=k, size=len(batch)):

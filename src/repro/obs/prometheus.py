@@ -54,7 +54,6 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("quality.reconciled_slots", "Forecasts reconciled against realized flows."),
     ("quality.unreconciled_slots", "Forecasts whose target slot left the ring unreconciled."),
     ("parallel.reduce_overlap_ratio", "Fraction of the post-publish window spent reducing completed arenas."),
-    ("parallel.transport_fallback", "Shared-memory to pipe transport degradations."),
     ("parallel.fallback", "Worker-pool to serial-loop degradations."),
     ("parallel.", "Data-parallel gradient worker pool metric."),
     ("trainer.", "Training loop metric."),

@@ -144,15 +144,9 @@ def render_report(report: RunReport) -> str:
         )
         if phase_text:
             lines.append(f"  phases: {phase_text}")
-        fallbacks = {
-            name: data["value"]
-            for name, data in report.metrics.items()
-            if name in ("parallel.transport_fallback", "parallel.fallback")
-            and data.get("value")
-        }
+        fallbacks = report.metrics.get("parallel.fallback", {}).get("value")
         if fallbacks:
-            lines.append("  fallbacks: "
-                         + ", ".join(f"{k}={v:g}" for k, v in fallbacks.items()))
+            lines.append(f"  fallbacks: parallel.fallback={fallbacks:g}")
     return "\n".join(lines)
 
 
@@ -180,10 +174,7 @@ def summarize_events(events: list[dict]) -> str:
             f"reduce/compute overlap mean "
             f"{sum(ratios) / len(ratios) * 100:.1f}%"
         )
-    fallback_events = [
-        e for e in events
-        if e["name"] in ("parallel.fallback", "parallel.transport_fallback")
-    ]
+    fallback_events = [e for e in events if e["name"] == "parallel.fallback"]
     for event in fallback_events:
         lines.append(f"fallback: {event['name']} "
                      f"({event['data'].get('reason', '?')})")

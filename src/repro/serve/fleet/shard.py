@@ -44,6 +44,7 @@ over out-of-order, dirty, late-heavy streams for K ∈ {1, 2, 7}.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 
@@ -451,6 +452,74 @@ class ShardedFlowStore:
             for shard in self.shards:
                 shard.scatter_window(slot_ids, inflow, outflow)
             return start, inflow, outflow
+
+    def remap_stations(self, kept: np.ndarray, num_stations: int) -> float:
+        """Re-index the station axes in place (continual graph evolution).
+
+        The fleet twin of :meth:`FlowStateStore.remap_stations`: station
+        ``kept[i]`` moves to position ``i`` on both axes of every
+        retained slot and pending inflow, positions ``len(kept) ..
+        num_stations - 1`` are new stations with zero history, and
+        pending inflow touching a removed station is drained and its
+        mass returned. The remapped history is redistributed over a
+        fresh :class:`ShardMap` at the new station count (shard count
+        capped at it). The fleet object and its rollover listeners
+        survive, and :attr:`version` strictly increases, invalidating
+        every forecast cached on the old windows.
+        """
+        kept = np.asarray(kept, dtype=int)
+        k = len(kept)
+        with self._lock:
+            self._heal()
+            frontier = self.frontier
+            old_version = self.version
+            old_n = self.config.num_stations
+            first, inflow, outflow = self.retained_tensors()
+            new_inflow = np.zeros((inflow.shape[0], num_stations, num_stations))
+            new_outflow = np.zeros_like(new_inflow)
+            new_inflow[:, :k, :k] = inflow[:, kept][:, :, kept]
+            new_outflow[:, :k, :k] = outflow[:, kept][:, :, kept]
+            # Assemble full-city pending inflow per slot before remapping.
+            pending_full: dict[int, np.ndarray] = {}
+            for shard in self.shards:
+                sel = shard.owned_selector
+                for slot, pending in shard._pending_inflow.items():
+                    full = pending_full.get(slot)
+                    if full is None:
+                        full = np.zeros((old_n, old_n))
+                        pending_full[slot] = full
+                    full[sel] = pending
+            drained = 0.0
+            new_pending: dict[int, np.ndarray] = {}
+            for slot, full in pending_full.items():
+                sub = full[np.ix_(kept, kept)]
+                drained += float(full.sum()) - float(sub.sum())
+                if sub.any():
+                    remapped = np.zeros((num_stations, num_stations))
+                    remapped[:k, :k] = sub
+                    new_pending[slot] = remapped
+            self.config = replace(self.config, num_stations=num_stations)
+            self.map = ShardMap(
+                num_stations, min(self.map.num_shards, num_stations)
+            )
+            shards: list[FlowStateStore] = []
+            for i in range(self.map.num_shards):
+                shard = FlowStateStore(
+                    self.config,
+                    frontier=frontier,
+                    owned_stations=self.map.stations(i),
+                    metric_prefix=f"serve.shard{i}",
+                )
+                shard.load_history(first, new_inflow, new_outflow, new_pending)
+                shards.append(shard)
+            # Keep the fleet version monotonic across the rebuild: forecast
+            # caches key on it, and a reset-to-zero could collide with an
+            # old key.
+            shards[0].version = old_version + 1
+            self.shards = shards
+            self._zero_target = np.zeros(num_stations)
+            self._zero_target.setflags(write=False)
+            return drained
 
     def _heal(self) -> None:
         # Called under the fleet lock before any assembled read: a torn

@@ -4,7 +4,7 @@ The continual loop's retrain stage is ``Trainer.warm_start(snapshot)``
 followed by a short ``fit``. This pins the contract it relies on: one
 epoch warm-started from an uninterrupted run's epoch-``e`` snapshot
 produces *bitwise* the parameters, Adam moments and RNG state of that
-run's epoch ``e + 1`` — serially and over both gradient transports.
+run's epoch ``e + 1`` — serially and over the shared-memory worker pool.
 """
 
 import numpy as np
@@ -56,7 +56,6 @@ def _assert_snapshots_bitwise_equal(a, b):
     [
         (0, "auto"),
         pytest.param(2, "shm", marks=needs_fork),
-        pytest.param(2, "pipe", marks=needs_fork),
     ],
 )
 def test_warm_started_epoch_bitmatches_uninterrupted_fit(

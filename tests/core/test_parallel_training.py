@@ -4,7 +4,8 @@ The contract under test (see ``core/parallel.py``): with a deterministic
 model (dropout 0), training with ``workers=K`` must reproduce the serial
 loss curves to within float64 summation reordering — we assert 1e-9,
 orders of magnitude tighter than any training-relevant difference — and
-the pool must degrade to the serial loop when fork is unavailable.
+the pool must degrade to the serial loop when fork or shared memory is
+unavailable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import pytest
 from repro.core.model import STGNNDJD
 from repro.core.parallel import GradientWorkerPool, fork_available
 from repro.core.trainer import Trainer, TrainingConfig
+from repro.obs import (
+    JsonlExporter,
+    default_registry,
+    metrics_scope,
+    read_events,
+    sink_scope,
+)
 
 PARITY_ATOL = 1e-9
 
@@ -49,6 +57,24 @@ def serial_reference(trainer: Trainer, batch, scale: float):
     return loss_sum, [np.array(p.grad) for p in trainer.optimizer.parameters]
 
 
+def assert_serial_fallback(trainer: Trainer, tmp_path, reason: str) -> None:
+    """``create()`` yields no pool, counts and emits ``reason``, and
+    ``fit()`` still trains (serially)."""
+    sink = JsonlExporter(tmp_path / "fallback.jsonl")
+    with metrics_scope(), sink_scope(sink):
+        registry = default_registry()
+        registry.reset()
+        registry.enabled = True  # reset() clears the scope's flag
+        assert GradientWorkerPool.create(trainer, 2) is None
+        assert registry.counter("parallel.fallback").value == 1
+    sink.close()
+    events = [e for e in read_events(sink.path)
+              if e["name"] == "parallel.fallback"]
+    assert [e["data"]["reason"] for e in events] == [reason]
+    history = trainer.fit()
+    assert len(history.train_loss) == 1
+
+
 class TestConfig:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -58,13 +84,14 @@ class TestConfig:
         assert TrainingConfig().workers == 0
 
     def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            TrainingConfig(transport="carrier-pigeon")
+        for transport in ("carrier-pigeon", "pipe"):
+            with pytest.raises(ValueError, match="transport"):
+                TrainingConfig(transport=transport)
 
 
 @needs_fork
 class TestSerialParallelParity:
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_loss_curves_match_serial(self, mini_dataset, transport):
         serial = make_trainer(mini_dataset, workers=0).fit()
         parallel = make_trainer(mini_dataset, workers=2, transport=transport).fit()
@@ -76,8 +103,7 @@ class TestSerialParallelParity:
             parallel.val_loss, serial.val_loss, rtol=0, atol=PARITY_ATOL
         )
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_single_batch_gradients_match_serial(self, mini_dataset, transport):
+    def test_single_batch_gradients_match_serial(self, mini_dataset):
         batch = mini_dataset.split_indices()[0][:6]
         scale = 1.0 / len(batch)
         serial_loss, serial_grads = serial_reference(
@@ -86,8 +112,8 @@ class TestSerialParallelParity:
 
         parallel = make_trainer(mini_dataset, workers=2)
         parallel.optimizer.zero_grad()
-        with GradientWorkerPool(parallel, 2, transport=transport) as pool:
-            assert pool.transport == transport
+        with GradientWorkerPool(parallel, 2) as pool:
+            assert pool.transport == "shm"
             parallel_loss = pool.accumulate_gradients(batch, scale)
 
         assert parallel_loss == pytest.approx(serial_loss, abs=PARITY_ATOL)
@@ -98,28 +124,10 @@ class TestSerialParallelParity:
                 p_parallel.grad, grad_serial, rtol=0, atol=PARITY_ATOL
             )
 
-    def test_shm_matches_pipe_bitwise(self, mini_dataset):
-        # The arenas change where the bytes live, not the arithmetic:
-        # the two transports must agree exactly, not just to tolerance.
-        batch = mini_dataset.split_indices()[0][:6]
-        scale = 1.0 / len(batch)
-        results = {}
-        for transport in ("shm", "pipe"):
-            trainer = make_trainer(mini_dataset, workers=2)
-            trainer.optimizer.zero_grad()
-            with GradientWorkerPool(trainer, 2, transport=transport) as pool:
-                loss = pool.accumulate_gradients(batch, scale)
-            results[transport] = (
-                loss, [np.array(p.grad) for p in trainer.optimizer.parameters]
-            )
-        assert results["shm"][0] == results["pipe"][0]
-        for grad_shm, grad_pipe in zip(results["shm"][1], results["pipe"][1]):
-            np.testing.assert_array_equal(grad_shm, grad_pipe)
-
     def test_epoch_schedule_matches_serial(self, mini_dataset):
-        # The epoch-granularity "go" path (workers walking a broadcast
-        # schedule) must produce the same gradients as schedule-free
-        # calls — which themselves match serial.
+        # Batches inside a begin_epoch/end_epoch bracket (the trainer's
+        # path) must produce the same gradients as ad-hoc calls — which
+        # themselves match serial.
         train_idx = mini_dataset.split_indices()[0]
         batches = [train_idx[:6], train_idx[6:12]]
         scale = 1.0 / 6
@@ -127,7 +135,7 @@ class TestSerialParallelParity:
         trainer = make_trainer(mini_dataset, workers=2)
         with GradientWorkerPool(trainer, 2) as pool:
             assert pool.transport == "shm"
-            pool.begin_epoch(batches)
+            pool.begin_epoch()
             for batch in batches:
                 reference = make_trainer(mini_dataset, workers=0)
                 # Match parameters mid-epoch (no optimizer steps here,
@@ -171,22 +179,18 @@ class TestFallback:
             GradientWorkerPool(trainer, 2)
 
     @needs_fork
-    def test_shm_unavailable_falls_back_to_pipe(self, mini_dataset, monkeypatch):
+    def test_shm_unavailable_falls_back_to_serial(
+        self, mini_dataset, monkeypatch, tmp_path
+    ):
         import repro.core.parallel as parallel_module
 
         monkeypatch.setattr(parallel_module, "shm_available", lambda: False)
-        trainer = make_trainer(mini_dataset, workers=2)
-        batch = mini_dataset.split_indices()[0][:4]
-        trainer.optimizer.zero_grad()
-        with GradientWorkerPool(trainer, 2, transport="shm") as pool:
-            assert pool.transport == "pipe"
-            assert pool.shm_segment_names == []
-            loss = pool.accumulate_gradients(batch, 1.0 / len(batch))
-        assert np.isfinite(loss)
+        trainer = make_trainer(mini_dataset, workers=2, epochs=1)
+        assert_serial_fallback(trainer, tmp_path, "shm_unavailable")
 
     @needs_fork
-    def test_arena_creation_failure_falls_back_to_pipe(
-        self, mini_dataset, monkeypatch
+    def test_arena_creation_failure_falls_back_to_serial(
+        self, mini_dataset, monkeypatch, tmp_path
     ):
         import repro.core.parallel as parallel_module
 
@@ -194,18 +198,17 @@ class TestFallback:
             raise OSError("No space left on device")
 
         monkeypatch.setattr(parallel_module, "SharedArena", no_room)
-        trainer = make_trainer(mini_dataset, workers=2)
-        batch = mini_dataset.split_indices()[0][:4]
-        trainer.optimizer.zero_grad()
-        with GradientWorkerPool(trainer, 2) as pool:
-            assert pool.transport == "pipe"
-            loss = pool.accumulate_gradients(batch, 1.0 / len(batch))
-        assert np.isfinite(loss)
+        trainer = make_trainer(mini_dataset, workers=2, epochs=1)
+        assert_serial_fallback(
+            trainer, tmp_path,
+            "arena_creation_failed: No space left on device",
+        )
 
     def test_invalid_transport_rejected(self, mini_dataset):
         trainer = make_trainer(mini_dataset, workers=1)
-        with pytest.raises(ValueError, match="transport"):
-            GradientWorkerPool(trainer, 1, transport="carrier-pigeon")
+        for transport in ("carrier-pigeon", "pipe"):
+            with pytest.raises(ValueError, match="transport"):
+                GradientWorkerPool(trainer, 1, transport=transport)
 
 
 @needs_fork
